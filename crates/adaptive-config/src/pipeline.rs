@@ -68,7 +68,11 @@ impl PipelineConfig {
 /// Wall-clock breakdown of one pipeline run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Per-partition feature extraction (mean + boundary cells).
+    /// Per-partition feature extraction (mean + boundary cells): the one
+    /// in-place scan of the field. For a
+    /// [`StreamSession`](crate::session::StreamSession) push the same scan
+    /// also yields the non-finite screen and σ, so this is every walk a
+    /// push takes over the field before compressing it.
     pub features: Duration,
     /// Error-bound optimization.
     pub optimize: Duration,
@@ -79,6 +83,8 @@ pub struct Timings {
 impl Timings {
     /// Overhead of the adaptive machinery relative to compression —
     /// the paper reports ≈1 % (mean only) to ≈5 % (with boundary cells).
+    /// For session pushes the numerator includes the screen and σ (see
+    /// [`Timings::features`]).
     pub fn overhead_fraction(&self) -> f64 {
         let extra = self.features.as_secs_f64() + self.optimize.as_secs_f64();
         let base = self.compress.as_secs_f64();

@@ -257,17 +257,26 @@ fn ln_mean(mean: f64) -> f64 {
     (mean.abs() + 1e-9).ln()
 }
 
-/// Extract [`PartitionFeature`]s for every brick of a decomposed field in
-/// one parallel pass — the in situ feature-extraction step.
+/// Extract [`PartitionFeature`]s for every brick of a decomposed field —
+/// the in situ feature-extraction step, a view over
+/// [`Decomposition::scan`](gridlab::Decomposition::scan)'s one in-place
+/// pass.
 pub fn extract_features<T: Scalar>(
     field: &Field3<T>,
     dec: &gridlab::Decomposition,
     t_boundary: f64,
     eb_ref: f64,
 ) -> Vec<PartitionFeature> {
-    dec.par_map(field, |_, brick| {
-        gridlab::stats::PartitionFeatures::extract(brick.as_slice(), t_boundary, eb_ref).into()
-    })
+    features_of_scans(&dec.scan(field, t_boundary - eb_ref, t_boundary + eb_ref), eb_ref)
+}
+
+/// The features in per-partition scan records taken over
+/// `(t_boundary − eb_ref, t_boundary + eb_ref)`.
+pub(crate) fn features_of_scans(
+    scans: &[gridlab::stats::Scan],
+    eb_ref: f64,
+) -> Vec<PartitionFeature> {
+    scans.iter().map(|s| gridlab::stats::PartitionFeatures::of_scan(s, eb_ref).into()).collect()
 }
 
 /// Measure the actual bit rate of one brick at one bound (ground truth for

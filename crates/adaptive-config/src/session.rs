@@ -98,9 +98,11 @@
 use crate::optimizer::{HaloTarget, QualityTarget};
 use crate::pipeline::{InSituPipeline, PipelineConfig, PipelineResult, Timings};
 use crate::ratio_model::{
-    bricks_at, sample_bricks, CalibrationError, CalibrationReport, CodecModelBank, RatioModel,
+    bricks_at, features_of_scans, sample_bricks, CalibrationError, CalibrationReport,
+    CodecModelBank, RatioModel,
 };
 use codec_core::{fnv1a64, CodecId, Container};
+use gridlab::stats::Moments;
 use gridlab::{Decomposition, Field3, Scalar};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -427,15 +429,17 @@ pub struct SnapshotStats {
     /// localised drift refits from few bricks, a global regime shift from
     /// the full stride-derived sample set.
     pub refreshed_partitions: usize,
-    /// The pipeline run's phase timings (features / optimize / compress).
+    /// The push's phase timings (features / optimize / compress);
+    /// `features` is the whole fused pre-compress scan — non-finite
+    /// screen, σ and per-partition features.
     pub timings: Timings,
 }
 
 impl SnapshotStats {
     /// Everything the adaptive machinery cost on top of compression this
-    /// snapshot: calibration/refresh + feature extraction + optimization.
-    /// The amortization claim is that after snapshot 0 this is dominated
-    /// by the (cheap) feature + optimize terms.
+    /// snapshot: calibration/refresh + the pre-compress scan (screen, σ,
+    /// features) + optimization. The amortization claim is that after
+    /// snapshot 0 this is dominated by the (cheap) scan + optimize terms.
     pub fn adaptive_cost(&self) -> Duration {
         self.model_cost + self.timings.features + self.timings.optimize
     }
@@ -475,11 +479,13 @@ pub struct SessionMetrics {
     /// `session_model_ns{kind="refresh"}`: localized-refresh cost
     /// (sampling only, for deferred refreshes).
     model_refresh_ns: Arc<Histogram>,
-    /// `session_steady_ns`: steady-state modeling per push (feature
-    /// extraction + optimizer resolve — the no-recalibration cost).
+    /// `session_steady_ns`: steady-state modeling per push — the fused
+    /// pre-compress scan (non-finite screen + σ + features, i.e.
+    /// `timings.features`) + optimizer resolve: the no-recalibration cost.
     steady_ns: Arc<Histogram>,
-    /// `span_self_ns{phase="session_push"}`: the push's self time, i.e.
-    /// excluding the codec compress spans nested inside it.
+    /// `span_self_ns{phase="session_push"}`: the accepted push's self
+    /// time after the scan (which `session_steady_ns` carries), excluding
+    /// the codec compress spans nested inside it.
     push_span_ns: Arc<Histogram>,
     refresh_partitions: Arc<Counter>,
     refreshes: Arc<Counter>,
@@ -523,10 +529,10 @@ pub struct StreamSession {
     pipeline: Option<InSituPipeline>,
     history: Vec<SnapshotStats>,
     calibration_reports: Vec<(CodecId, CalibrationReport)>,
-    /// Lifetime counters carried over from the checkpoint a restored
-    /// session resumed from (all zero for a fresh session): snapshots,
-    /// full calibrations, refreshes before the restart.
-    prior: (usize, usize, usize),
+    /// Lifetime counters — snapshots, full calibrations, refreshes —
+    /// bumped by every accepted push and seeded from the checkpoint a
+    /// restored session resumed from, so they never rescan `history`.
+    lifetime: (usize, usize, usize),
     /// Drift residual of the most recent snapshot (restored included).
     last_drift: f64,
     /// Telemetry handles, when a registry is attached. Purely
@@ -548,7 +554,7 @@ impl StreamSession {
             pipeline: None,
             history: Vec::new(),
             calibration_reports: Vec::new(),
-            prior: (0, 0, 0),
+            lifetime: (0, 0, 0),
             last_drift: 0.0,
             metrics: None,
         }
@@ -609,19 +615,37 @@ impl StreamSession {
         field: &Field3<T>,
         defer_refresh: bool,
     ) -> Result<(SnapshotRecord, Option<RefreshTask<T>>), PushError> {
-        // Screen before touching any state: a NaN/∞ cell would poison the
-        // Welford σ, the partition means, and ultimately the model bank.
-        let non_finite = field.as_slice().iter().filter(|v| !v.is_finite()).count();
+        // One pass over the field, before any state is touched: every
+        // partition's non-finite count (the screen — a NaN/∞ cell would
+        // poison σ, the partition means, and ultimately the model bank),
+        // moments (σ) and boundary-cell count (features). The thresholds
+        // come from the session config, so this runs before a pipeline
+        // exists.
+        let t_scan = Instant::now();
+        let t_boundary = self.cfg.halo.map_or(0.0, |h| h.t_boundary);
+        let eb_ref = self.cfg.eb_ref;
+        let scans = self.cfg.dec.scan(field, t_boundary - eb_ref, t_boundary + eb_ref);
+        let non_finite: usize = scans.iter().map(|s| s.non_finite).sum();
         if non_finite > 0 {
             return Err(PushError::NonFiniteInput { non_finite, cells: field.len() });
         }
-        // Span over the whole (accepted) push: its recorded self time
+        // σ from the per-partition moments, folded in partition-id order.
+        let sigma = scans
+            .iter()
+            .map(|s| s.moments)
+            .reduce(Moments::merge)
+            .expect("a session has partitions")
+            .std_dev();
+        let features = features_of_scans(&scans, eb_ref);
+        let features_time = t_scan.elapsed();
+        // Span over the rest of the (accepted) push: its recorded self time
         // excludes the codec compress spans nested inside, so the phase
-        // breakdown push → compress sums instead of double-counting. The
-        // handle is cloned out so the guard's borrow cannot pin `self`.
+        // breakdown push → compress sums instead of double-counting. It
+        // opens after the scan so a rejected push records nothing; the
+        // scan is reported as `timings.features`. The handle is cloned out
+        // so the guard's borrow cannot pin `self`.
         let push_span_hist = self.metrics.as_ref().map(|m| Arc::clone(&m.push_span_ns));
         let _push_span = push_span_hist.as_ref().map(|h| telemetry::span(h));
-        let sigma = gridlab::stats::summarize(field.as_slice()).std_dev();
         let mut model_cost = Duration::ZERO;
         let mut recalibration = Recalibration::Skipped;
         let mut deferred = None;
@@ -643,10 +667,6 @@ impl StreamSession {
             recalibration = Recalibration::Full;
         }
         let pipeline = self.pipeline.as_mut().expect("calibrated above");
-
-        let t_features = Instant::now();
-        let features = pipeline.extract_features(field);
-        let features_time = t_features.elapsed();
 
         let eb_avg = self.cfg.policy.resolve(
             sigma,
@@ -716,6 +736,12 @@ impl StreamSession {
             }
         }
         self.history.push(stats);
+        self.lifetime.0 += 1;
+        match recalibration {
+            Recalibration::Full => self.lifetime.1 += 1,
+            Recalibration::Refreshed => self.lifetime.2 += 1,
+            Recalibration::Skipped => {}
+        }
         self.last_drift = drift_residual;
         Ok((SnapshotRecord { result, stats, residuals }, deferred))
     }
@@ -836,21 +862,19 @@ impl StreamSession {
 
     /// Snapshots pushed over the session's lifetime, restarts included.
     pub fn snapshots(&self) -> usize {
-        self.prior.0 + self.history.len()
+        self.lifetime.0
     }
 
     /// How many snapshots ran a full calibration over the session's
     /// lifetime (must be ≤ 1: only the first snapshot of the *series* ever
     /// pays it — a restore does not reset this).
     pub fn full_calibrations(&self) -> usize {
-        self.prior.1
-            + self.history.iter().filter(|s| s.recalibration == Recalibration::Full).count()
+        self.lifetime.1
     }
 
     /// How many snapshots triggered a sampled refresh, restarts included.
     pub fn refreshes(&self) -> usize {
-        self.prior.2
-            + self.history.iter().filter(|s| s.recalibration == Recalibration::Refreshed).count()
+        self.lifetime.2
     }
 
     /// Drift residual of the most recent snapshot (0 before the first).
@@ -965,7 +989,7 @@ impl StreamSession {
             pipeline,
             history: Vec::new(),
             calibration_reports: Vec::new(),
-            prior: (snapshots, full_calibrations, refreshes),
+            lifetime: (snapshots, full_calibrations, refreshes),
             last_drift,
             metrics: None,
         })
@@ -1370,6 +1394,38 @@ mod tests {
         assert_eq!(s.full_calibrations(), 1);
         assert_eq!(s.snapshots(), 4);
         assert!(!s.calibration_reports().is_empty());
+    }
+
+    #[test]
+    fn non_finite_pushes_are_rejected_before_any_state_or_metric_moves() {
+        let mut poisoned = evolving_field(16, 1.0, 9);
+        for (i, v) in [(7, f32::NAN), (900, f32::INFINITY), (901, f32::NEG_INFINITY)] {
+            poisoned.as_mut_slice()[i] = v;
+        }
+        let rejected = Err(PushError::NonFiniteInput { non_finite: 3, cells: 16 * 16 * 16 });
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut s = session(16, 2, QualityPolicy::SigmaScaled(0.1));
+        s.attach_metrics(Arc::clone(&registry), 7);
+        let observe = |s: &StreamSession| {
+            let history: Vec<_> = s.history().iter().map(|h| (h.snapshot, h.eb_avg)).collect();
+            let counters = (s.snapshots(), s.full_calibrations(), s.refreshes(), s.last_drift());
+            let metrics = (registry.render_prometheus(), registry.journal().total_recorded());
+            (history, counters, s.models().cloned(), metrics)
+        };
+
+        // On the first (uncalibrated) push: no pipeline may come to exist.
+        let before = observe(&s);
+        assert_eq!(s.push_snapshot(&poisoned).map(|_| ()), rejected);
+        assert_eq!(observe(&s), before);
+        assert!(s.pipeline().is_none());
+
+        // And on a later push, after an accepted one moved everything.
+        s.push_snapshot(&evolving_field(16, 1.0, 9)).unwrap();
+        assert_eq!(s.snapshots(), 1);
+        let before = observe(&s);
+        assert_eq!(s.push_snapshot_deferred(&poisoned).map(|_| ()), rejected);
+        assert_eq!(observe(&s), before);
+        s.push_snapshot(&evolving_field(16, 1.01, 9)).expect("the session stays usable");
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! be bit-identical — including when the optimizer mixes codec backends
 //! within one snapshot. This is what makes the parallel engine a pure
 //! performance change — simulation outputs cannot depend on the worker
-//! count or scheduling order.
+//! count or scheduling order. The same holds one level up: a whole
+//! session push (fused pre-compress scan → σ-scaled budget → optimizer →
+//! compression) equals a serial reference assembled from the public
+//! per-brick pieces.
 
 use adaptive_config::optimizer::QualityTarget;
 use adaptive_config::pipeline::{InSituPipeline, PipelineConfig};
+use adaptive_config::session::{QualityPolicy, SessionConfig, StreamSession};
+use adaptive_config::PartitionFeature;
 use codec_core::{CodecId, CodecScratch, Container};
+use gridlab::stats::{scan_rows, Moments, PartitionFeatures};
 use gridlab::{Decomposition, Dim3, Field3};
 
 /// Mixed smooth/rough field so partitions differ wildly in cost and
@@ -145,5 +151,44 @@ fn parallel_reconstruction_is_bit_identical_to_serial_decode() {
             a[i],
             b[i]
         );
+    }
+}
+
+#[test]
+fn whole_push_matches_a_serial_reference_built_from_the_per_brick_scan() {
+    // 8³ bricks make the optimizer mix codecs. (That the scan's fanned-out
+    // driver equals its inline one on larger fields is gridlab's property
+    // suite; here the scan is one input of a whole push.)
+    let n = 64;
+    let field = contrast_field(n);
+    let dec = Decomposition::cubic(n, 8).unwrap();
+    let fraction = 0.05;
+    let mut cfg = SessionConfig::new(dec.clone(), QualityPolicy::SigmaScaled(fraction))
+        .with_codecs(&CodecId::ALL);
+    cfg.calib_stride = 32; // 16 sample bricks: keeps the debug-build run short
+    let eb_ref = cfg.eb_ref;
+    let mut session = StreamSession::new(cfg);
+    let rec = session.push_snapshot(&field).unwrap();
+
+    // The reference: one partition at a time on this thread, moments
+    // folded in id order, then the optimizer and the codecs serially.
+    let scans: Vec<_> =
+        dec.iter().map(|p| scan_rows(field.pencils(p.origin, p.dims), -eb_ref, eb_ref)).collect();
+    let sigma = scans.iter().map(|s| s.moments).reduce(Moments::merge).unwrap().std_dev();
+    let eb_avg = fraction * sigma;
+    assert_eq!(rec.stats.eb_avg.to_bits(), eb_avg.to_bits(), "σ-scaled budget differs");
+    let features: Vec<PartitionFeature> =
+        scans.iter().map(|s| PartitionFeatures::of_scan(s, eb_ref).into()).collect();
+    assert_eq!(rec.result.features, features);
+    let optimizer = &session.pipeline().unwrap().optimizer;
+    let decision = optimizer.optimize(&features, &QualityTarget::fft_only(eb_avg));
+    let bits = |ebs: &[f64]| ebs.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&rec.result.ebs), bits(&decision.ebs));
+    assert_eq!(rec.result.codecs, decision.codecs);
+    assert!(rec.result.codec_counts().iter().all(|&(_, n)| n > 0), "not a mixed-codec push");
+
+    let reference = serial_containers(&field, &dec, &decision.codecs, &decision.ebs);
+    for (id, (par, ser)) in rec.result.containers.iter().zip(&reference).enumerate() {
+        assert_eq!(par.as_bytes(), ser.as_bytes(), "partition {id} differs");
     }
 }

@@ -122,10 +122,16 @@ impl<T: Scalar> Field3<T> {
         }
     }
 
-    /// Copy a sub-brick starting at `origin` with extents `brick`.
+    /// The z-pencils of the sub-brick at `origin` with extents `brick`, in
+    /// place: `brick.nx · brick.ny` contiguous runs of `brick.nz` cells,
+    /// x-major — [`Field3::extract`]'s copy order without the copy.
     ///
     /// Panics if the brick overruns the field.
-    pub fn extract(&self, origin: (usize, usize, usize), brick: Dim3) -> Field3<T> {
+    pub fn pencils(
+        &self,
+        origin: (usize, usize, usize),
+        brick: Dim3,
+    ) -> impl Iterator<Item = &[T]> + Clone + '_ {
         let (ox, oy, oz) = origin;
         assert!(
             ox + brick.nx <= self.dims.nx
@@ -133,12 +139,23 @@ impl<T: Scalar> Field3<T> {
                 && oz + brick.nz <= self.dims.nz,
             "brick overruns field"
         );
+        let (dims, data) = (self.dims, self.data.as_slice());
+        (0..brick.nx).flat_map(move |x| {
+            let plane = dims.index(ox + x, oy, oz);
+            (0..brick.ny).map(move |y| {
+                let start = plane + y * dims.nz;
+                &data[start..start + brick.nz]
+            })
+        })
+    }
+
+    /// Copy a sub-brick starting at `origin` with extents `brick`.
+    ///
+    /// Panics if the brick overruns the field.
+    pub fn extract(&self, origin: (usize, usize, usize), brick: Dim3) -> Field3<T> {
         let mut data = Vec::with_capacity(brick.len());
-        for x in 0..brick.nx {
-            for y in 0..brick.ny {
-                let row_start = self.dims.index(ox + x, oy + y, oz);
-                data.extend_from_slice(&self.data[row_start..row_start + brick.nz]);
-            }
+        for pencil in self.pencils(origin, brick) {
+            data.extend_from_slice(pencil);
         }
         Field3 { dims: brick, data }
     }
@@ -201,6 +218,16 @@ mod tests {
         g.insert((1, 2, 0), &brick);
         assert_eq!(g.get(2, 3, 3), f.get(2, 3, 3));
         assert_eq!(g.get(0, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn pencils_are_the_rows_extract_copies() {
+        let f = Field3::from_fn(Dim3::new(4, 5, 6), |x, y, z| (x * 30 + y * 6 + z) as f32);
+        let (origin, brick) = ((1, 2, 3), Dim3::new(2, 3, 2));
+        let rows: Vec<&[f32]> = f.pencils(origin, brick).collect();
+        assert_eq!(rows.len(), 6);
+        assert!(rows.iter().all(|r| r.len() == 2));
+        assert_eq!(rows.concat(), f.extract(origin, brick).into_vec());
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! * [`Dim3`] — dimensions and index arithmetic for row-major 3-D grids,
 //! * [`Field3`] — an owned 3-D scalar field over [`Scalar`] (`f32`/`f64`),
 //! * [`Decomposition`] / [`Partition`] — brick domain decomposition mirroring
-//!   the per-MPI-rank partitions of a Nyx run,
+//!   the per-MPI-rank partitions of a Nyx run, and the one in-place
+//!   per-partition scan ([`Decomposition::scan`]) an in situ push takes over
+//!   a field before compressing it,
 //! * [`stats`] — the cheap per-partition features the paper's models consume
-//!   (mean, histograms, entropy, boundary-cell counts),
+//!   (mean, histograms, entropy, boundary-cell counts) and the mergeable
+//!   moments kernel behind them,
 //! * [`io`] — a small self-describing binary snapshot format.
 //!
 //! Everything is deterministic and dependency-light so the higher layers

@@ -5,6 +5,7 @@
 //! captures that layout and [`Partition`] is the per-rank view (origin +
 //! extents + rank id).
 
+use crate::stats::{scan_rows, Scan};
 use crate::{Dim3, Field3, GridError, Scalar};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -35,6 +36,13 @@ impl Partition {
         self.dims.is_empty()
     }
 }
+
+/// Fields with fewer cells than this are scanned inline by
+/// [`Decomposition::scan`]; larger ones fan out over partitions. The rayon
+/// shim spawns scoped workers per fan-out — tens of µs on an idle host, a
+/// few hundred beside a busy server — which a scan of ~1 ns/cell repays
+/// only from about a million cells up.
+pub const PAR_SCAN_MIN_CELLS: usize = 1 << 20;
 
 /// Equal-brick decomposition of a global grid.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,6 +159,27 @@ impl Decomposition {
         Ok(out)
     }
 
+    /// The fused pre-compress scan: every partition's non-finite count,
+    /// moments and `(lo, hi)` boundary-cell count (id order) from one pass
+    /// over the field, each partition's z-pencils read in place.
+    ///
+    /// Partition `p`'s record is exactly
+    /// `scan_rows(field.pencils(p.origin, p.dims), lo, hi)`, computed
+    /// inline below [`PAR_SCAN_MIN_CELLS`] and by parallel workers above
+    /// it, so the output — and anything folded from it in id order, like
+    /// the field's σ via [`Moments::merge`](crate::stats::Moments::merge) —
+    /// is a pure function of (field, decomposition): identical bits for
+    /// any worker count.
+    pub fn scan<T: Scalar>(&self, field: &Field3<T>, lo: f64, hi: f64) -> Vec<Scan> {
+        assert_eq!(field.dims(), self.domain, "field does not match decomposition domain");
+        let scan = |p: Partition| scan_rows(field.pencils(p.origin, p.dims), lo, hi);
+        if field.len() < PAR_SCAN_MIN_CELLS {
+            self.iter().map(scan).collect()
+        } else {
+            self.iter().collect::<Vec<_>>().into_par_iter().map(scan).collect()
+        }
+    }
+
     /// Map `f` over every partition brick in parallel, preserving id order.
     ///
     /// This is the in-process analogue of "each MPI rank works on its own
@@ -228,6 +257,27 @@ mod tests {
         let dec = Decomposition::cubic(8, 2).unwrap();
         let bricks = vec![Field3::<f32>::zeros(Dim3::cube(4)); 7];
         assert!(dec.assemble(&bricks).is_err());
+    }
+
+    #[test]
+    fn scan_reads_each_partition_in_place() {
+        let dec = Decomposition::new(Dim3::new(6, 10, 14), Dim3::new(3, 5, 7)).unwrap();
+        let f = Field3::from_fn(dec.domain(), |x, y, z| (x * 140 + y * 14 + z) as f32);
+        let scans = dec.scan(&f, 100.0, 400.0);
+        assert_eq!(scans.len(), 8);
+        for (p, scan) in dec.iter().zip(&scans) {
+            let brick = f.extract(p.origin, p.dims);
+            let s = crate::stats::summarize(brick.as_slice());
+            assert_eq!(scan.non_finite, 0);
+            assert_eq!(scan.moments.count, 105);
+            assert_eq!((scan.moments.min, scan.moments.max), (s.min, s.max));
+            assert!((scan.moments.mean - s.mean).abs() < 1e-9);
+            assert!((scan.moments.variance() - s.variance).abs() < 1e-6);
+            assert_eq!(
+                scan.boundary_cells,
+                crate::stats::count_in_range(brick.as_slice(), 100.0, 400.0)
+            );
+        }
     }
 
     #[test]

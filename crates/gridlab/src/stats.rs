@@ -7,6 +7,24 @@
 //! Histogram and entropy are provided for model calibration and validation
 //! (entropy is the "better but more expensive" compressibility proxy the
 //! paper mentions before settling on the mean).
+//!
+//! ## One moments kernel
+//!
+//! Mean, variance, min/max, the boundary-cell count and the non-finite
+//! screen all come from one kernel, [`scan_rows`]: a cache-resident block
+//! is walked twice — lane-parallel sum → mean, then lane-parallel centred
+//! squares — so there is no per-cell division, no loop-carried dependency
+//! longer than one add per lane, and no sum of raw squares to cancel
+//! catastrophically on cosmology's ~9-decade dynamic ranges. Blocks
+//! combine through [`Moments::merge`] (Chan et al.'s pairwise update).
+//! [`summarize`] folds fixed-size blocks of a slice left to right;
+//! [`Decomposition::scan`](crate::Decomposition::scan) runs the kernel over
+//! each partition's z-pencils in place. The association order of every
+//! floating-point sum is written out in this file (fixed-width lane
+//! arrays, a fixed lane fold, a left fold over blocks), so results are a
+//! pure function of the input and of the block/partition geometry —
+//! never of the instruction set the build vectorises for or of the
+//! thread that ran a block.
 
 use crate::{Field3, Scalar};
 
@@ -33,25 +51,209 @@ impl Summary {
     }
 }
 
-/// One-pass summary (Welford) of a value slice.
+/// Mergeable moments of a set of values: what [`Summary`] is finalised
+/// from, in the form that combines across blocks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    pub count: usize,
+    pub mean: f64,
+    /// Sum of squared deviations from `mean`.
+    pub m2: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Moments {
+    /// Moments of the union of two disjoint sets (Chan, Golub & LeVeque's
+    /// pairwise update). Not associative in floating point: callers fold
+    /// in a fixed order (block order, partition-id order).
+    pub fn merge(self, other: Moments) -> Moments {
+        let count = self.count + other.count;
+        let delta = other.mean - self.mean;
+        let weight = other.count as f64 / count as f64;
+        Moments {
+            count,
+            mean: self.mean + delta * weight,
+            m2: self.m2 + other.m2 + delta * delta * (self.count as f64 * weight),
+            min: if other.min < self.min { other.min } else { self.min },
+            max: if other.max > self.max { other.max } else { self.max },
+        }
+    }
+
+    /// Population variance.
+    pub fn variance(&self) -> f64 {
+        self.m2 / self.count as f64
+    }
+
+    /// Standard deviation.
+    pub fn std_dev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Finalise into a [`Summary`].
+    pub fn summary(&self) -> Summary {
+        Summary {
+            count: self.count,
+            mean: self.mean,
+            min: self.min,
+            max: self.max,
+            variance: self.variance(),
+        }
+    }
+}
+
+/// What one fused pass over a block of values reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scan {
+    /// NaN/∞ cells. When non-zero the moments are meaningless (NaN or
+    /// infinite) and the caller should reject the input.
+    pub non_finite: usize,
+    pub moments: Moments,
+    /// Cells in the open interval `(lo, hi)` the scan was asked about —
+    /// [`count_in_range`], fused.
+    pub boundary_cells: usize,
+}
+
+/// Independent accumulators per reduction: lane `l` takes cells
+/// `l, l + LANES, …` of each row, and the lanes fold in the fixed order of
+/// [`fold_lanes`]. Four `f64` lanes are two baseline-x86-64 vectors per
+/// accumulator, so all of [`FirstPass`] stays in registers; eight measured
+/// 30 % slower on 16-cell pencils and no faster on long rows.
+const LANES: usize = 4;
+
+/// Cells per block of [`summarize`]: 32 KiB of `f64`, so the second
+/// (centred-squares) pass re-reads the block from L1.
+const BLOCK_CELLS: usize = 4096;
+
+fn fold_lanes(a: &[f64; LANES]) -> f64 {
+    (a[0] + a[1]) + (a[2] + a[3])
+}
+
+/// First-pass accumulators: sum, min, max and the in-range count, lane by
+/// lane.
+struct FirstPass {
+    sum: [f64; LANES],
+    min: [f64; LANES],
+    max: [f64; LANES],
+    in_range: [u64; LANES],
+    lo: f64,
+    hi: f64,
+}
+
+impl FirstPass {
+    #[inline(always)]
+    fn cell(&mut self, l: usize, x: f64) {
+        self.sum[l] += x;
+        // Comparisons rather than `f64::min`/`max`: one instruction per
+        // lane, and a NaN cell never displaces a finite extreme.
+        self.min[l] = if x < self.min[l] { x } else { self.min[l] };
+        self.max[l] = if x > self.max[l] { x } else { self.max[l] };
+        self.in_range[l] += ((x > self.lo) & (x < self.hi)) as u64;
+    }
+
+    // Kept out of line: as its own single-loop function the lane arrays
+    // vectorise; inlined into the caller's loop over rows they are spilled
+    // to scalars (1.5x slower on 16-cell pencils). `chunks_exact` for the
+    // same reason: the full-width loop needs a compile-time trip count.
+    #[inline(never)]
+    fn row<T: Scalar>(&mut self, row: &[T]) {
+        let mut chunks = row.chunks_exact(LANES);
+        for c in &mut chunks {
+            for (l, v) in c.iter().enumerate() {
+                self.cell(l, v.to_f64());
+            }
+        }
+        for (l, v) in chunks.remainder().iter().enumerate() {
+            self.cell(l, v.to_f64());
+        }
+    }
+}
+
+/// Second pass over one row: squared deviations from `mean`, lane by lane.
+#[inline(never)]
+fn centred_squares<T: Scalar>(row: &[T], mean: f64, sq: &mut [f64; LANES]) {
+    let mut chunks = row.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (s, v) in sq.iter_mut().zip(c) {
+            let d = v.to_f64() - mean;
+            *s += d * d;
+        }
+    }
+    for (s, v) in sq.iter_mut().zip(chunks.remainder()) {
+        let d = v.to_f64() - mean;
+        *s += d * d;
+    }
+}
+
+/// The fused kernel: one block of values, handed over as rows (a brick's
+/// z-pencils in place, or a single contiguous slice), reduced to its
+/// non-finite count, moments and `(lo, hi)` boundary-cell count.
 ///
-/// Welford's update keeps the variance numerically stable for the huge
-/// dynamic ranges of cosmology fields (densities span ~9 decades).
+/// The rows are walked twice (sum → mean, then centred squares), so the
+/// block should be cache-sized; larger inputs are cut into blocks by the
+/// caller and combined with [`Moments::merge`]. Panics on an empty block.
+pub fn scan_rows<'a, T: Scalar>(
+    rows: impl Iterator<Item = &'a [T]> + Clone,
+    lo: f64,
+    hi: f64,
+) -> Scan {
+    let mut first = FirstPass {
+        sum: [0.0; LANES],
+        min: [f64::INFINITY; LANES],
+        max: [f64::NEG_INFINITY; LANES],
+        in_range: [0; LANES],
+        lo,
+        hi,
+    };
+    let mut count = 0usize;
+    // `for_each`, not `for`: nested-pencil iterators drive ~20 % faster
+    // through internal iteration.
+    rows.clone().for_each(|row| {
+        first.row(row);
+        count += row.len();
+    });
+    assert!(count > 0, "cannot scan an empty block");
+    let sum = fold_lanes(&first.sum);
+    // A NaN or ±∞ cell makes its lane's sum, and so the folded sum,
+    // non-finite: the screen costs nothing on clean blocks, and a poisoned
+    // block is recounted exactly.
+    let non_finite = if sum.is_finite() {
+        0
+    } else {
+        rows.clone().map(|row| row.iter().filter(|v| !v.is_finite()).count()).sum()
+    };
+    let min = first.min.iter().fold(f64::INFINITY, |a, &b| if b < a { b } else { a });
+    let max = first.max.iter().fold(f64::NEG_INFINITY, |a, &b| if b > a { b } else { a });
+    let (mean, m2) = if min == max {
+        // A constant block: exact, whatever rounding `sum / count` has.
+        (min, 0.0)
+    } else {
+        let mean = sum / count as f64;
+        let mut sq = [0.0; LANES];
+        rows.for_each(|row| centred_squares(row, mean, &mut sq));
+        (mean, fold_lanes(&sq))
+    };
+    Scan {
+        non_finite,
+        moments: Moments { count, mean, m2, min, max },
+        boundary_cells: first.in_range.iter().sum::<u64>() as usize,
+    }
+}
+
+/// Summary of a value slice: [`scan_rows`] over fixed-size blocks, merged
+/// left to right.
+///
+/// Per-block centred squares plus Chan merges keep the variance
+/// numerically stable for the huge dynamic ranges of cosmology fields
+/// (densities span ~9 decades) and for large mean offsets.
 pub fn summarize<T: Scalar>(values: &[T]) -> Summary {
     assert!(!values.is_empty(), "cannot summarize an empty slice");
-    let mut mean = 0.0f64;
-    let mut m2 = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for (i, v) in values.iter().enumerate() {
-        let x = v.to_f64();
-        min = min.min(x);
-        max = max.max(x);
-        let delta = x - mean;
-        mean += delta / (i + 1) as f64;
-        m2 += delta * (x - mean);
-    }
-    Summary { count: values.len(), mean, min, max, variance: m2 / values.len() as f64 }
+    values
+        .chunks(BLOCK_CELLS)
+        .map(|block| scan_rows(std::iter::once(block), 0.0, 0.0).moments)
+        .reduce(Moments::merge)
+        .expect("non-empty slice has a first block")
+        .summary()
 }
 
 /// Convenience wrapper over [`summarize`] for a field.
@@ -193,22 +395,23 @@ pub struct PartitionFeatures {
 }
 
 impl PartitionFeatures {
+    /// The features of a block [`scan_rows`] (or
+    /// [`Decomposition::scan`](crate::Decomposition::scan)) already walked
+    /// with `(lo, hi) = (t_boundary − eb_ref, t_boundary + eb_ref)`.
+    pub fn of_scan(scan: &Scan, eb_ref: f64) -> Self {
+        assert!(eb_ref > 0.0);
+        Self {
+            mean: scan.moments.mean,
+            boundary_cells: scan.boundary_cells,
+            eb_ref,
+            cells: scan.moments.count,
+        }
+    }
+
     /// Extract features in a single fused pass over the brick.
     pub fn extract<T: Scalar>(values: &[T], t_boundary: f64, eb_ref: f64) -> Self {
-        assert!(!values.is_empty());
-        assert!(eb_ref > 0.0);
-        let lo = t_boundary - eb_ref;
-        let hi = t_boundary + eb_ref;
-        let mut sum = 0.0f64;
-        let mut nbc = 0usize;
-        for v in values {
-            let x = v.to_f64();
-            sum += x;
-            if x > lo && x < hi {
-                nbc += 1;
-            }
-        }
-        Self { mean: sum / values.len() as f64, boundary_cells: nbc, eb_ref, cells: values.len() }
+        let scan = scan_rows(std::iter::once(values), t_boundary - eb_ref, t_boundary + eb_ref);
+        Self::of_scan(&scan, eb_ref)
     }
 
     /// Linearly rescale the boundary-cell count to a different error bound
@@ -257,6 +460,68 @@ mod tests {
         let naive_mean = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((s.mean - naive_mean).abs() < 1e-3);
         assert!((s.variance - 8.25).abs() < 1e-3);
+    }
+
+    #[test]
+    fn constant_values_have_exactly_zero_variance() {
+        // 0.1 is not a dyadic rational: `sum / count` need not round back
+        // to it, the constant-block branch must.
+        for n in [1usize, 3, LANES + 1, BLOCK_CELLS, 3 * BLOCK_CELLS + 7] {
+            let s = summarize(&vec![0.1f64; n]);
+            assert_eq!((s.mean, s.variance, s.min, s.max), (0.1, 0.0, 0.1, 0.1), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn blocked_summary_matches_two_pass_reference() {
+        // Spans several blocks plus a ragged tail, over ~9 decades.
+        let vals: Vec<f32> =
+            (0..2 * BLOCK_CELLS + 1234).map(|i| (((i * 37) % 2003) as f32 * 0.01).exp()).collect();
+        let n = vals.len() as f64;
+        let mean = vals.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let var = vals.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
+        let s = summarize(&vals);
+        assert!((s.mean - mean).abs() <= 1e-12 * mean, "{} vs {mean}", s.mean);
+        assert!((s.variance - var).abs() <= 1e-10 * var, "{} vs {var}", s.variance);
+        assert_eq!(s.min, vals.iter().fold(f64::INFINITY, |a, &v| a.min(v as f64)));
+        assert_eq!(s.max, vals.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v as f64)));
+    }
+
+    #[test]
+    fn merge_is_the_moments_of_the_union() {
+        let (a, b) = ([1.0f64, 2.0, 3.0], [10.0f64, 20.0, 30.0, 40.0, 50.0]);
+        let of = |v: &[f64]| scan_rows(std::iter::once(v), 0.0, 0.0).moments;
+        let merged = of(&a).merge(of(&b));
+        let all: Vec<f64> = a.iter().chain(&b).copied().collect();
+        let whole = of(&all);
+        assert_eq!(merged.count, 8);
+        assert!((merged.mean - whole.mean).abs() < 1e-12);
+        assert!((merged.m2 - whole.m2).abs() < 1e-9);
+        assert_eq!((merged.min, merged.max), (1.0, 50.0));
+    }
+
+    #[test]
+    fn scan_counts_every_non_finite_cell() {
+        // +∞ and −∞ in one lane sum to NaN, NaN alone stays NaN, a lone ∞
+        // stays ∞: each must trip the screen and be counted exactly.
+        let mut vals = vec![1.0f32; 64];
+        for poison in [
+            vec![(3, f32::NAN)],
+            vec![(0, f32::INFINITY)],
+            vec![(1, f32::INFINITY), (1 + LANES, f32::NEG_INFINITY)],
+            vec![(5, f32::NAN), (6, f32::INFINITY), (63, f32::NEG_INFINITY)],
+        ] {
+            for &(i, v) in &poison {
+                vals[i] = v;
+            }
+            let rows = vals.chunks(10); // ragged pencils: 6 of 10 + one of 4
+            assert_eq!(scan_rows(rows, 0.0, 2.0).non_finite, poison.len(), "{poison:?}");
+            for &(i, _) in &poison {
+                vals[i] = 1.0;
+            }
+        }
+        let clean = scan_rows(vals.chunks(10), 0.0, 2.0);
+        assert_eq!((clean.non_finite, clean.boundary_cells), (0, 64));
     }
 
     #[test]
